@@ -2,8 +2,7 @@
 //!
 //! Each `figN` module sets up the exact workload of the corresponding figure
 //! (scaled by a [`Scale`] preset), runs it, and returns plain row structs
-//! that the `experiments` binary prints as aligned tables / CSV and that the
-//! Criterion benches re-use as their measured bodies.
+//! that the `experiments` binary prints as aligned tables / CSV.
 //!
 //! | Module | Paper artefact |
 //! |--------|----------------|

@@ -100,7 +100,7 @@ impl Scale {
     }
 
     /// Laptop-scale sizing (~64 MB columns); finishes in seconds. This is
-    /// the default of the `experiments` binary and of `cargo bench`.
+    /// the default of the `experiments` binary.
     pub fn small() -> Self {
         Self {
             name: "small",

@@ -27,8 +27,9 @@
 //!   one through the adaptive path and evaluates the rest as semi-join
 //!   probes over the surviving rows ([`plan`] / [`AdaptiveTable`]),
 //! * a **concurrent serving layer** in which reader threads pin
-//!   epoch-consistent snapshots (userspace RCU) and run full queries
-//!   lock-free while one maintenance thread ingests writes and publishes
+//!   epoch-consistent snapshots (an `Arc` swapped under a lock held only
+//!   for the swap) and run full queries without holding any lock while
+//!   one maintenance thread ingests writes and publishes
 //!   re-aligned view epochs ([`serve`]).
 //!
 //! The entry points are [`AdaptiveColumn`], [`AdaptiveTable`] and

@@ -8,7 +8,7 @@
 //! * **N reader threads** hold cheap [`TableHandle`]s and pin
 //!   epoch-consistent [`Snapshot`]s ([`TableHandle::pin`]) to run full
 //!   queries — routed range scans, planned conjunctive queries, point
-//!   probes — without taking any lock, and
+//!   probes — without holding any lock while they run, and
 //! * **one maintenance thread** owns the [`ServeTable`]: it ingests
 //!   writes, folds the write queue into background alignment rounds,
 //!   publishes re-aligned view epochs chunk by chunk, and reclaims
@@ -16,13 +16,30 @@
 //!
 //! # The epoch protocol
 //!
-//! The handoff primitive is [`asv_util::EpochCell`] (userspace RCU): the
-//! maintainer [`publishes`](asv_util::EpochCell::publish) immutable
-//! [`TableEpoch`]s, readers pin the latest one with two atomic stores and
-//! keep it alive through an [`Arc`] for as long as they need it. A pin
-//! never blocks on a publish and a publish never waits for readers — old
-//! epochs are reclaimed lazily ([`asv_util::EpochCell::try_reclaim`]) when
-//! the last pin drops.
+//! The current epoch lives in one `Mutex<Arc<TableEpoch>>` shared by the
+//! table and every handle. The maintainer publishes an immutable
+//! [`TableEpoch`] by swapping its `Arc` in under the lock; a reader pins
+//! the latest one by cloning that `Arc` under the lock, and keeps it alive
+//! for as long as it needs it. The lock is held for exactly one pointer
+//! swap or one refcount increment, never across a query or an epoch
+//! build, so a publish never waits for a query and a query never waits
+//! for a publish. An epoch is freed when its last `Arc` drops.
+//!
+//! The lock costs less than a microsecond per pin against queries that
+//! take hundreds of microseconds. Pin cost measured against a
+//! hand-rolled RCU cell (ns per pin, 2-core x86-64 Linux container):
+//!
+//! | readers | RCU cell | `Mutex<Arc<_>>` |
+//! |---------|----------|-----------------|
+//! | 1       | 36       | 36              |
+//! | 2       | 177      | 264             |
+//! | 4       | 328      | 694             |
+//!
+//! The maintainer keeps every published epoch that may still be pinned in
+//! a history list. An entry whose `Arc` strong count has fallen to one is
+//! unreachable: readers can only clone the *current* epoch, so the count
+//! of a superseded epoch never rises again once its last snapshot drops.
+//! That count is the whole liveness test behind the grace check below.
 //!
 //! A [`TableEpoch`] is a frozen, self-contained description of what a
 //! reader may touch:
@@ -107,14 +124,12 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 
 use asv_storage::{
     copy_values_chunked, Column, ExclusionMasks, PageRef, ScanKernel, ScanMode, ScanOutput,
 };
-use asv_util::{
-    split_ranges, EpochCell, Parallelism, Pinned, Reader, ThreadPool, Timer, ValueRange,
-};
+use asv_util::{split_ranges, Parallelism, ThreadPool, Timer, ValueRange};
 use asv_vmem::{Backend, ViewBuffer, VmemError, VALUES_PER_PAGE};
 
 use crate::align::{
@@ -455,23 +470,27 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// The published epoch slot, shared by a [`ServeTable`] and its handles.
+type EpochSlot<B> = Arc<Mutex<Arc<TableEpoch<B>>>>;
+
 /// A cloneable, sendable handle readers use to pin snapshots of a
-/// [`ServeTable`]. Obtained from [`ServeTable::handle`]; cloning
-/// registers an independent reader slot, so each reader thread should
-/// carry its own handle.
+/// [`ServeTable`]. Obtained from [`ServeTable::handle`]; every clone shares
+/// the table's epoch slot, and each reader thread may carry its own.
+#[derive(Clone)]
 pub struct TableHandle<B: Backend> {
-    reader: Reader<TableEpoch<B>>,
+    current: EpochSlot<B>,
     parallelism: Parallelism,
 }
 
 impl<B: Backend> TableHandle<B> {
-    /// Pins the latest published epoch: two atomic stores, no lock, never
-    /// blocked by the maintenance thread. The snapshot stays valid (and
-    /// its epoch unreclaimed) until dropped, and inherits the handle's
-    /// [`Parallelism`] knob.
+    /// Pins the latest published epoch: one `Arc` clone under the epoch
+    /// lock, which the maintenance thread only ever holds for a pointer
+    /// swap. The snapshot stays valid (and its epoch alive) until dropped,
+    /// and inherits the handle's [`Parallelism`] knob.
     pub fn pin(&self) -> Snapshot<B> {
+        let epoch = Arc::clone(&self.current.lock().expect("epoch lock poisoned"));
         Snapshot {
-            pinned: self.reader.pin(),
+            epoch,
             parallelism: self.parallelism,
         }
     }
@@ -486,15 +505,6 @@ impl<B: Backend> TableHandle<B> {
     }
 }
 
-impl<B: Backend> Clone for TableHandle<B> {
-    fn clone(&self) -> Self {
-        Self {
-            reader: self.reader.clone(),
-            parallelism: self.parallelism,
-        }
-    }
-}
-
 impl<B: Backend> std::fmt::Debug for TableHandle<B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TableHandle").finish_non_exhaustive()
@@ -505,15 +515,16 @@ impl<B: Backend> std::fmt::Debug for TableHandle<B> {
 ///
 /// All queries on one snapshot observe the same epoch; pinning again
 /// ([`TableHandle::pin`]) observes later commits.
+#[derive(Clone)]
 pub struct Snapshot<B: Backend> {
-    pinned: Pinned<TableEpoch<B>>,
+    epoch: Arc<TableEpoch<B>>,
     parallelism: Parallelism,
 }
 
 impl<B: Backend> Snapshot<B> {
     /// The table generation of the pinned epoch.
     pub fn generation(&self) -> u64 {
-        self.pinned.generation()
+        self.epoch.generation
     }
 
     /// Sets the intra-query fork-join parallelism of this snapshot's
@@ -525,7 +536,7 @@ impl<B: Backend> Snapshot<B> {
 
     /// Number of columns in the pinned epoch.
     pub fn num_columns(&self) -> usize {
-        self.pinned.columns.len()
+        self.epoch.columns.len()
     }
 
     /// Number of rows of column `col`.
@@ -534,7 +545,7 @@ impl<B: Backend> Snapshot<B> {
     }
 
     fn column(&self, col: usize) -> &ColumnEpoch<B> {
-        &self.pinned.columns[col]
+        &self.epoch.columns[col]
     }
 
     /// Point read of `(col, row)` — overlay-aware and copy-aware.
@@ -597,15 +608,6 @@ impl<B: Backend> Snapshot<B> {
         ConjunctiveAnswer {
             count: survivors.len() as u64,
             rows_checksum: checksum_rows(&survivors),
-        }
-    }
-}
-
-impl<B: Backend> Clone for Snapshot<B> {
-    fn clone(&self) -> Self {
-        Self {
-            pinned: self.pinned.clone(),
-            parallelism: self.parallelism,
         }
     }
 }
@@ -948,7 +950,9 @@ pub struct ServeTable<B: Backend> {
     backend: B,
     config: AdaptiveConfig,
     columns: Vec<ColumnState<B>>,
-    cell: Arc<EpochCell<TableEpoch<B>>>,
+    /// The current epoch, swapped by [`ServeTable::commit`] and cloned by
+    /// [`TableHandle::pin`].
+    current: EpochSlot<B>,
     /// Every published epoch still possibly alive, oldest first; the last
     /// entry is the current epoch.
     history: Vec<Arc<TableEpoch<B>>>,
@@ -969,11 +973,12 @@ impl<B: Backend> ServeTable<B> {
     /// Creates an empty serving table on `backend`, with
     /// `config.chunking.writer_shards` ingest lanes.
     pub fn new(backend: B, config: AdaptiveConfig) -> Self {
-        let cell = Arc::new(EpochCell::new(TableEpoch {
+        let epoch = Arc::new(TableEpoch {
             columns: Vec::new(),
             generation: 0,
-        }));
-        let history = vec![cell.latest()];
+        });
+        let current = Arc::new(Mutex::new(Arc::clone(&epoch)));
+        let history = vec![epoch];
         let shards = config.chunking.writer_shards.max(1);
         let capacity = config.chunking.writer_lane_capacity;
         let mut lanes = Vec::with_capacity(shards);
@@ -993,7 +998,7 @@ impl<B: Backend> ServeTable<B> {
             backend,
             config,
             columns: Vec::new(),
-            cell,
+            current,
             history,
             generation: 0,
             staged: false,
@@ -1032,6 +1037,12 @@ impl<B: Backend> ServeTable<B> {
     /// the journal alone is the source of truth. The journal is then
     /// compacted to a checkpoint, reopened for appends, and the table
     /// serves again at an epoch no older than the last sealed one.
+    ///
+    /// A journal whose records pass their checksums but do not describe a
+    /// table is rejected before anything is rebuilt or rewritten: a
+    /// column added out of order or an inverted view range returns
+    /// [`VmemError::Unsupported`], and a view or write naming a missing
+    /// column or row returns [`VmemError::OutOfBounds`].
     pub fn recover(
         backend: B,
         config: AdaptiveConfig,
@@ -1044,20 +1055,37 @@ impl<B: Backend> ServeTable<B> {
         for record in &outcome.sealed_records {
             match record {
                 WalRecord::AddColumn { col, values } => {
-                    assert_eq!(
-                        *col as usize,
-                        columns.len(),
-                        "journal records columns in append order"
-                    );
+                    if *col as usize != columns.len() {
+                        return Err(VmemError::Unsupported(
+                            "journal adds columns out of append order",
+                        ));
+                    }
                     columns.push(values.clone());
                 }
                 WalRecord::InstallView { col, min, max } => {
-                    views.push((*col as usize, ValueRange::new(*min, *max)));
+                    if *col as usize >= columns.len() {
+                        return Err(VmemError::out_of_bounds(format!(
+                            "journal installs a view on missing column {col}"
+                        )));
+                    }
+                    let range = ValueRange::try_new(*min, *max).ok_or(VmemError::Unsupported(
+                        "journal installs a view with low > high",
+                    ))?;
+                    views.push((*col as usize, range));
                 }
                 WalRecord::Batch { col, writes } => {
-                    let column = &mut columns[*col as usize];
+                    let Some(column) = columns.get_mut(*col as usize) else {
+                        return Err(VmemError::out_of_bounds(format!(
+                            "journal writes missing column {col}"
+                        )));
+                    };
                     for &(row, value) in writes {
-                        column[row as usize] = value;
+                        let Some(slot) = column.get_mut(row as usize) else {
+                            return Err(VmemError::out_of_bounds(format!(
+                                "journal writes missing row {row} of column {col}"
+                            )));
+                        };
+                        *slot = value;
                     }
                     batches_applied += 1;
                 }
@@ -1175,7 +1203,7 @@ impl<B: Backend> ServeTable<B> {
     /// [`TableHandle::with_parallelism`] turns on intra-query fork-join.
     pub fn handle(&self) -> TableHandle<B> {
         TableHandle {
-            reader: self.cell.reader(),
+            current: Arc::clone(&self.current),
             parallelism: Parallelism::Sequential,
         }
     }
@@ -1212,7 +1240,6 @@ impl<B: Backend> ServeTable<B> {
     /// Number of published epochs not yet reclaimed (including the
     /// current one).
     pub fn live_epochs(&mut self) -> usize {
-        self.cell.try_reclaim();
         self.prune_history();
         self.history.len()
     }
@@ -1240,21 +1267,23 @@ impl<B: Backend> ServeTable<B> {
     /// the writer itself never blocks.
     ///
     /// # Panics
-    /// On a durable table, panics if the journal append fails — use
-    /// [`ServeTable::try_write`] to handle the error.
+    /// Panics if `(col, row)` is out of bounds or, on a durable table, if
+    /// the journal append fails — use [`ServeTable::try_write`] to handle
+    /// the error.
     pub fn write(&mut self, col: usize, row: usize, value: u64) {
         self.try_write(col, row, value)
-            .expect("journal append failed (use try_write on durable tables)");
+            .expect("write rejected (use try_write to handle the error)");
     }
 
     /// Stages a batch of `(row, value)` writes into column `col`.
     ///
     /// # Panics
-    /// On a durable table, panics if the journal append fails — use
-    /// [`ServeTable::try_write_batch`] to handle the error.
+    /// Panics if a write is out of bounds or, on a durable table, if the
+    /// journal append fails — use [`ServeTable::try_write_batch`] to
+    /// handle the error.
     pub fn write_batch(&mut self, col: usize, writes: &[(usize, u64)]) {
         self.try_write_batch(col, writes)
-            .expect("journal append failed (use try_write_batch on durable tables)");
+            .expect("write batch rejected (use try_write_batch to handle the error)");
     }
 
     /// Fallible single write: [`ServeTable::try_write_batch`] of one
@@ -1267,7 +1296,8 @@ impl<B: Backend> ServeTable<B> {
     /// the journal as one [`WalRecord::Batch`] *before* any of it is
     /// staged (write-ahead): an `Err` means nothing was acknowledged and
     /// the serving state is unchanged, so recovery and the live table
-    /// agree on exactly which writes exist.
+    /// agree on exactly which writes exist. A missing column or row
+    /// returns [`VmemError::OutOfBounds`] before anything is journaled.
     pub fn try_write_batch(
         &mut self,
         col: usize,
@@ -1276,9 +1306,17 @@ impl<B: Backend> ServeTable<B> {
         if writes.is_empty() {
             return Ok(());
         }
-        let num_rows = self.columns[col].column.num_rows();
-        for &(row, _) in writes {
-            assert!(row < num_rows, "row {row} out of bounds");
+        let Some(state) = self.columns.get(col) else {
+            return Err(VmemError::out_of_bounds(format!(
+                "column {col} of {}",
+                self.columns.len()
+            )));
+        };
+        let num_rows = state.column.num_rows();
+        if let Some(&(row, _)) = writes.iter().find(|&&(row, _)| row >= num_rows) {
+            return Err(VmemError::out_of_bounds(format!(
+                "row {row} of {num_rows} in column {col}"
+            )));
         }
         if self.durable.is_some() {
             let record = WalRecord::Batch {
@@ -1323,7 +1361,6 @@ impl<B: Backend> ServeTable<B> {
         // commit below — the tick boundary is the acknowledgement point
         // for both front doors.
         self.drain_ingest()?;
-        self.cell.try_reclaim();
         // Commit-before-fold invariant: every staged acknowledgement is
         // published (with its masks and page copies) before any fold may
         // write the store.
@@ -1441,10 +1478,11 @@ impl<B: Backend> ServeTable<B> {
         self.generation += 1;
         let columns: Vec<Arc<ColumnEpoch<B>>> =
             self.columns.iter_mut().map(|c| c.epoch()).collect();
-        let epoch = self.cell.publish(TableEpoch {
+        let epoch = Arc::new(TableEpoch {
             columns,
             generation: self.generation,
         });
+        *self.current.lock().expect("epoch lock poisoned") = Arc::clone(&epoch);
         self.history.push(epoch);
         self.staged = false;
         if let Some(durable) = self.durable.as_mut() {
@@ -1521,8 +1559,9 @@ impl<B: Backend> ServeTable<B> {
         Ok(())
     }
 
-    /// Drops history entries whose epochs are no longer referenced by any
-    /// reader or retired cell node. The current epoch always stays.
+    /// Drops history entries whose epochs no snapshot references any more
+    /// (strong count one: the history's own `Arc`). The current epoch
+    /// always stays.
     fn prune_history(&mut self) {
         if self.history.len() <= 1 {
             return;
@@ -1537,7 +1576,6 @@ impl<B: Backend> ServeTable<B> {
     /// for the rows a fold is about to write, so folding before they die
     /// would race their readers.
     fn grace_elapsed(&mut self) -> bool {
-        self.cell.try_reclaim();
         self.prune_history();
         self.history.len() <= 1
     }
@@ -2492,11 +2530,230 @@ mod tests {
         let values: Vec<u64> = (0..VALUES_PER_PAGE as u64 * 2 + 5).collect();
         let col = table.add_column(&values).unwrap();
         let snap = table.handle().pin();
-        let epoch = &snap.pinned.columns[col];
+        let epoch = &snap.epoch.columns[col];
         assert_eq!(epoch.valid_values(0), VALUES_PER_PAGE);
         assert_eq!(epoch.valid_values(1), VALUES_PER_PAGE);
         assert_eq!(epoch.valid_values(2), 5, "partial tail page");
         assert_eq!(epoch.valid_values(3), 0, "pages past the data are empty");
         assert_eq!(epoch.valid_values(17), 0);
+    }
+
+    #[test]
+    fn held_snapshot_defers_the_fold_until_dropped() {
+        let config = AdaptiveConfig::default()
+            .with_chunking(crate::config::AlignChunking::default().with_group_commit_idle(4));
+        let mut table = ServeTable::new(SimBackend::new(), config);
+        let values = clustered_values(8);
+        let col = table.add_column(&values).unwrap();
+        for i in 0..3 {
+            table.write(col, i, 700_000 + i as u64);
+        }
+        table.tick().unwrap();
+        let held = table.handle().pin();
+        table.write(col, 3, 700_003);
+        for _ in 0..3 {
+            table.tick().unwrap();
+            assert!(
+                !table.round_in_flight(col),
+                "a held superseded epoch blocks the fold at the threshold"
+            );
+            assert_eq!(table.queued_writes(col), 4);
+        }
+        assert_eq!(table.live_epochs(), 2, "the held epoch stays alive");
+        assert_eq!(held.value(col, 3), values[3], "held epoch predates write 3");
+        drop(held);
+        table.tick().unwrap();
+        assert!(
+            table.round_in_flight(col),
+            "dropping the snapshot lets it fold"
+        );
+        assert_eq!(table.queued_writes(col), 0);
+        table.quiesce().unwrap();
+        assert_eq!(table.live_epochs(), 1);
+        assert_eq!(table.handle().pin().value(col, 3), 700_003);
+    }
+
+    #[test]
+    fn hammered_handles_see_monotonic_self_consistent_epochs() {
+        const WRITES: usize = 300;
+        const READERS: usize = 4;
+        let mut table = ServeTable::new(SimBackend::new(), serve_config());
+        let mut mirror = clustered_values(8);
+        let col = table.add_column(&mirror).unwrap();
+        let range = ValueRange::new(0, 4_000);
+        let handle = table.handle();
+        // answers[i] is the answer after i writes; epochs published by the
+        // tick of write i (generations in (bounds[i-1], bounds[i]]) carry
+        // exactly writes 1..=i, and every later epoch carries all of them.
+        let mut answers = vec![reference_answer(&mirror, &range)];
+        let mut bounds = vec![table.generation()];
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let started = std::sync::atomic::AtomicUsize::new(0);
+        let observed: Vec<Vec<(u64, RangeAnswer)>> = std::thread::scope(|scope| {
+            let (done, started) = (&done, &started);
+            let readers: Vec<_> = (0..READERS)
+                .map(|_| {
+                    let handle = handle.clone();
+                    scope.spawn(move || {
+                        let mut seen: Vec<(u64, RangeAnswer)> = Vec::new();
+                        loop {
+                            // One last pin after the maintainer is done, so
+                            // every reader sees the final epoch too.
+                            let stop = done.load(std::sync::atomic::Ordering::Acquire);
+                            let snap = handle.pin();
+                            let answer = snap.query_range(col, &range);
+                            match seen.last() {
+                                Some(&(g, ref a)) if g == snap.generation() => {
+                                    assert_eq!(*a, answer, "one generation, one answer");
+                                }
+                                Some(&(g, _)) => {
+                                    assert!(g < snap.generation(), "generations are monotonic");
+                                    seen.push((snap.generation(), answer));
+                                }
+                                None => {
+                                    seen.push((snap.generation(), answer));
+                                    started.fetch_add(1, std::sync::atomic::Ordering::Release);
+                                }
+                            }
+                            if stop {
+                                break;
+                            }
+                        }
+                        seen
+                    })
+                })
+                .collect();
+            for i in 0..WRITES {
+                if i == WRITES / 2 {
+                    // Every reader pins mid-run, so each one observes at
+                    // least two generations.
+                    while started.load(std::sync::atomic::Ordering::Acquire) < READERS {
+                        std::thread::yield_now();
+                    }
+                }
+                let row = (i * 37) % mirror.len();
+                let value = (i as u64 * 13) % 5_000;
+                table.write(col, row, value);
+                mirror[row] = value;
+                table.tick().unwrap();
+                answers.push(reference_answer(&mirror, &range));
+                bounds.push(table.generation());
+            }
+            table.quiesce().unwrap();
+            done.store(true, std::sync::atomic::Ordering::Release);
+            readers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        for seen in &observed {
+            for (generation, answer) in seen {
+                let writes = bounds.partition_point(|&b| b < *generation);
+                let want = &answers[writes.min(WRITES)];
+                assert_eq!(
+                    answer, want,
+                    "generation {generation} answers as its writes"
+                );
+            }
+        }
+        assert!(
+            observed.iter().all(|seen| seen.len() > 1),
+            "readers overlap commits"
+        );
+    }
+
+    #[test]
+    fn try_write_batch_rejects_out_of_range_rows_unchanged() {
+        let path = temp_journal("oob-row");
+        let values = clustered_values(4);
+        let mut table = ServeTable::with_durability(
+            SimBackend::new(),
+            serve_config(),
+            DurabilityConfig::new(&path),
+        )
+        .unwrap();
+        let col = table.add_column(&values).unwrap();
+        let journal_len = std::fs::metadata(&path).unwrap().len();
+        let generation = table.generation();
+        let err = table
+            .try_write_batch(col, &[(0, 1), (values.len(), 2)])
+            .unwrap_err();
+        assert!(matches!(err, VmemError::OutOfBounds { .. }), "{err}");
+        let err = table.try_write(col + 1, 0, 3).unwrap_err();
+        assert!(matches!(err, VmemError::OutOfBounds { .. }), "{err}");
+        assert_eq!(table.queued_writes(col), 0, "nothing was staged");
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            journal_len,
+            "nothing was journaled"
+        );
+        table.tick().unwrap();
+        assert_eq!(table.generation(), generation, "nothing to publish");
+        let snap = table.handle().pin();
+        assert_eq!(snap.value(col, 0), values[0]);
+        assert_eq!(
+            snap.query_range(col, &ValueRange::full()),
+            reference_answer(&values, &ValueRange::full())
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Writes `records` as a sealed journal and recovers from it.
+    fn recover_from(tag: &str, mut records: Vec<WalRecord>) -> Result<(), VmemError> {
+        let path = temp_journal(tag);
+        records.push(WalRecord::Seal { epoch: 1 });
+        wal::rewrite(&path, &records).unwrap();
+        let result = ServeTable::recover(
+            SimBackend::new(),
+            serve_config(),
+            DurabilityConfig::new(&path),
+        )
+        .map(|_| ());
+        std::fs::remove_file(&path).unwrap();
+        result
+    }
+
+    fn add_column_record(col: u32) -> WalRecord {
+        WalRecord::AddColumn {
+            col,
+            values: clustered_values(1),
+        }
+    }
+
+    #[test]
+    fn recovery_rejects_columns_out_of_append_order() {
+        let err = recover_from("col-order", vec![add_column_record(1)]).unwrap_err();
+        assert!(matches!(err, VmemError::Unsupported(_)), "{err}");
+    }
+
+    #[test]
+    fn recovery_rejects_records_on_missing_columns() {
+        let view = WalRecord::InstallView {
+            col: 1,
+            min: 0,
+            max: 10,
+        };
+        let err = recover_from("view-col", vec![add_column_record(0), view]).unwrap_err();
+        assert!(matches!(err, VmemError::OutOfBounds { .. }), "{err}");
+        let inverted = WalRecord::InstallView {
+            col: 0,
+            min: 10,
+            max: 0,
+        };
+        let err = recover_from("view-range", vec![add_column_record(0), inverted]).unwrap_err();
+        assert!(matches!(err, VmemError::Unsupported(_)), "{err}");
+        let batch = WalRecord::Batch {
+            col: 3,
+            writes: vec![(0, 1)],
+        };
+        let err = recover_from("batch-col", vec![add_column_record(0), batch]).unwrap_err();
+        assert!(matches!(err, VmemError::OutOfBounds { .. }), "{err}");
+    }
+
+    #[test]
+    fn recovery_rejects_writes_to_missing_rows() {
+        let batch = WalRecord::Batch {
+            col: 0,
+            writes: vec![(1, 1), (VALUES_PER_PAGE as u64, 2)],
+        };
+        let err = recover_from("batch-row", vec![add_column_record(0), batch]).unwrap_err();
+        assert!(matches!(err, VmemError::OutOfBounds { .. }), "{err}");
     }
 }

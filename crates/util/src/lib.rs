@@ -20,9 +20,6 @@
 //!   runs, used by the consecutive-mapping optimization (paper §2.3).
 //! * [`ThreadPool`] / [`Parallelism`] — a hand-rolled scoped fork-join pool
 //!   powering the sharded parallel scan path.
-//! * [`EpochCell`] — a single-publisher, many-reader epoch-pinned value
-//!   cell (userspace RCU on std atomics), the primitive behind the
-//!   concurrent serving layer's snapshot handoff.
 //! * [`Timer`] and [`Summary`] — tiny measurement helpers for the
 //!   experiment harness.
 
@@ -30,7 +27,6 @@
 
 pub mod bimap;
 pub mod bitvec;
-pub mod epoch;
 pub mod interval;
 pub mod pool;
 pub mod range;
@@ -40,7 +36,6 @@ pub mod stats;
 
 pub use bimap::BiMap;
 pub use bitvec::BitVec;
-pub use epoch::{EpochCell, Pinned, Reader};
 pub use interval::IntervalIndex;
 pub use pool::{available_parallelism, split_ranges, Parallelism, ThreadPool};
 pub use range::ValueRange;

@@ -3,8 +3,7 @@
 //! The evaluation of the paper reports per-query runtimes, accumulated
 //! response times (Table 1) and averages over repeated runs. [`Timer`] and
 //! [`Summary`] provide exactly that without pulling in a benchmarking
-//! framework for the plain `experiments` binary (Criterion is still used for
-//! the `cargo bench` targets).
+//! framework for the `experiments` binary.
 
 use std::time::{Duration, Instant};
 

@@ -16,7 +16,7 @@
 //!   every algorithm in the upper layers can be unit- and property-tested
 //!   on any platform and without touching the VM subsystem.
 //! * [`AnyBackend`] — a runtime-selectable enum over the two, used by the
-//!   experiment drivers, benches and examples (`--backend sim|mmap`). Its
+//!   experiment drivers and examples (`--backend sim|mmap`). Its
 //!   default is the mmap backend on Linux and the simulation elsewhere;
 //!   published measurements should always come from the mmap backend.
 //!
