@@ -27,6 +27,11 @@
 //!    truncate calls) and the [`ViewSet`] generation is bumped, moving the
 //!    column into the next view epoch.
 //!
+//! The serving layer ([`crate::serve`]) runs the same three phases without
+//! buffers: its views are physical page lists, the snapshot builds each
+//! mapping table from a list, and the publish replays the ops onto a copy
+//! of the list ([`ViewPlan`]'s page-list replay) instead of the buffer.
+//!
 //! The synchronous path runs the exact same three phases back-to-back, so
 //! background and synchronous alignment produce bit-identical slot ↔ page
 //! layouts by construction. Pages are planned in ascending page-id order —
@@ -124,6 +129,31 @@ pub struct ViewPlan {
     pub pages_removed: usize,
 }
 
+impl ViewPlan {
+    /// Replays the recorded ops onto a slot-ordered physical page list
+    /// (`pages[slot]` = physical page): the page-list twin of the buffer
+    /// replay in [`apply_plan`], ending in the same slot ↔ page layout.
+    ///
+    /// # Panics
+    /// Panics if an op maps a slot past the end of the list: planned views
+    /// stay dense, so a `Map` only rewires a mapped slot or appends one.
+    pub(crate) fn replay_onto(&self, pages: &mut Vec<usize>) {
+        for op in &self.ops {
+            match *op {
+                ViewOp::Map { slot, phys_page } => {
+                    assert!(slot <= pages.len(), "plan maps slot {slot} past the view");
+                    if slot == pages.len() {
+                        pages.push(phys_page);
+                    } else {
+                        pages[slot] = phys_page;
+                    }
+                }
+                ViewOp::Truncate { mapped_pages } => pages.truncate(mapped_pages),
+            }
+        }
+    }
+}
+
 /// The planned alignment of a whole view set for one update batch.
 #[derive(Clone, Debug)]
 pub struct AlignmentPlan {
@@ -178,12 +208,30 @@ impl AlignmentSnapshot {
     }
 }
 
+/// One view as the planner sees it: position, id, covered range and
+/// pre-batch slot ↔ page mapping.
 #[derive(Clone, Debug)]
-struct ViewSnapshot {
+pub(crate) struct ViewSnapshot {
     idx: usize,
     id: u64,
     range: ValueRange,
     table: MappingTable,
+}
+
+impl ViewSnapshot {
+    /// A view whose slot `i` maps physical page `pages[i]`.
+    pub(crate) fn from_pages(idx: usize, id: u64, range: ValueRange, pages: &[usize]) -> Self {
+        let mut table = MappingTable::with_capacity(pages.len());
+        for (slot, &phys) in pages.iter().enumerate() {
+            table.insert(slot, phys);
+        }
+        Self {
+            idx,
+            id,
+            range,
+            table,
+        }
+    }
 }
 
 /// The predicate → view dependency index of one column's view set.
@@ -291,6 +339,19 @@ pub fn compute_alignment_delta<B: Backend>(
     views: &ViewSet<B>,
     batch: &[Update],
 ) -> AlignmentDelta {
+    let view_ids: Vec<u64> = views.iter().map(|(_, view)| view.id()).collect();
+    compute_alignment_delta_in(stats, views.dep_graph(), &view_ids, batch)
+}
+
+/// [`compute_alignment_delta`] over a bare dependency graph: `view_ids[i]`
+/// is the id of the view at position `i`. This is the form for callers
+/// that keep views as page lists rather than in a [`ViewSet`].
+pub(crate) fn compute_alignment_delta_in(
+    stats: &ZoneStats,
+    deps: &ViewDepGraph,
+    view_ids: &[u64],
+    batch: &[Update],
+) -> AlignmentDelta {
     // Touched zones with their (defensively widened) value bands.
     let mut bands: HashMap<usize, ValueRange> = HashMap::new();
     for u in batch {
@@ -308,12 +369,16 @@ pub fn compute_alignment_delta<B: Backend>(
     // Count, per affected view id, how many touched zones hit it.
     let mut hits: HashMap<u64, u64> = HashMap::new();
     for band in bands.values() {
-        for id in views.dep_graph().overlapping(band) {
+        for id in deps.overlapping(band) {
             *hits.entry(id).or_insert(0) += 1;
         }
     }
 
-    let idx_of: HashMap<u64, usize> = views.iter().map(|(idx, v)| (v.id(), idx)).collect();
+    let idx_of: HashMap<u64, usize> = view_ids
+        .iter()
+        .enumerate()
+        .map(|(idx, &id)| (id, idx))
+        .collect();
     let mut items: Vec<DeltaWorkItem> = hits
         .into_iter()
         .filter_map(|(view_id, priority)| {
@@ -328,7 +393,7 @@ pub fn compute_alignment_delta<B: Backend>(
 
     AlignmentDelta {
         items,
-        total_views: views.num_partial_views(),
+        total_views: view_ids.len(),
         touched_zones: bands.len(),
     }
 }
@@ -345,7 +410,8 @@ pub fn snapshot_alignment<B: Backend>(
     views: &ViewSet<B>,
     batch: &[Update],
 ) -> Result<AlignmentSnapshot, VmemError> {
-    snapshot_impl(column, views, batch, None)
+    let selected: Vec<usize> = (0..views.num_partial_views()).collect();
+    snapshot_buffers(column, views, batch, &selected)
 }
 
 /// Like [`snapshot_alignment`], but restricted to the views named by an
@@ -359,15 +425,71 @@ pub fn snapshot_alignment_delta<B: Backend>(
     batch: &[Update],
     delta: &AlignmentDelta,
 ) -> Result<AlignmentSnapshot, VmemError> {
-    snapshot_impl(column, views, batch, Some(delta))
+    for item in &delta.items {
+        let matches = views
+            .partial_view(item.view_idx)
+            .is_some_and(|v| v.id() == item.view_id);
+        if !matches {
+            return Err(VmemError::Unsupported(
+                "view set changed between delta computation and snapshot",
+            ));
+        }
+    }
+    let selected: Vec<usize> = delta.items.iter().map(|item| item.view_idx).collect();
+    snapshot_buffers(column, views, batch, &selected)
 }
 
-fn snapshot_impl<B: Backend>(
+/// Reads the mapping tables of the `selected` view buffers back (one
+/// `/proc/self/maps` parse on the mmap backend) and snapshots them in
+/// that order.
+fn snapshot_buffers<B: Backend>(
     column: &Column<B>,
     views: &ViewSet<B>,
     batch: &[Update],
-    subset: Option<&AlignmentDelta>,
+    selected: &[usize],
 ) -> Result<AlignmentSnapshot, VmemError> {
+    let parse_timer = Timer::start();
+    let buffers: Vec<&B::View> = selected
+        .iter()
+        .map(|&idx| {
+            views
+                .partial_view(idx)
+                .expect("validated by caller")
+                .buffer()
+        })
+        .collect();
+    let tables = column.backend().mapping_tables(column.store(), &buffers)?;
+    let view_snapshots: Vec<ViewSnapshot> = selected
+        .iter()
+        .zip(tables)
+        .map(|(&idx, table)| {
+            let view = views.partial_view(idx).expect("validated by caller");
+            ViewSnapshot {
+                idx,
+                id: view.id(),
+                range: *view.range(),
+                table,
+            }
+        })
+        .collect();
+    Ok(snapshot_with_tables(
+        column,
+        batch,
+        view_snapshots,
+        parse_timer.elapsed(),
+    ))
+}
+
+/// The shared snapshot core (phase 1): the caller supplies the pre-batch
+/// mapping table of every view to plan, in planning order, and the time it
+/// spent obtaining them (`table_time`, folded into the snapshot's parse
+/// time).
+pub(crate) fn snapshot_with_tables<B: Backend>(
+    column: &Column<B>,
+    batch: &[Update],
+    views: Vec<ViewSnapshot>,
+    table_time: Duration,
+) -> AlignmentSnapshot {
     let deduped = dedup_last_write_wins(batch);
     let deduped_size = deduped.len();
     let groups: Vec<(usize, Vec<Update>)> = sorted_page_groups(&deduped)
@@ -377,58 +499,17 @@ fn snapshot_impl<B: Backend>(
         .filter(|(page, _)| *page < column.num_pages())
         .collect();
 
-    // Positions to snapshot: everything, or the delta's subset in priority
-    // order (which the plan and publish phases then inherit).
-    let selected: Vec<usize> = match subset {
-        None => (0..views.num_partial_views()).collect(),
-        Some(delta) => {
-            for item in &delta.items {
-                let matches = views
-                    .partial_view(item.view_idx)
-                    .is_some_and(|v| v.id() == item.view_id);
-                if !matches {
-                    return Err(VmemError::Unsupported(
-                        "view set changed between delta computation and snapshot",
-                    ));
-                }
-            }
-            delta.items.iter().map(|item| item.view_idx).collect()
-        }
-    };
-
-    // The parse timer covers the whole snapshot materialization: mapping
+    // The parse time covers the whole snapshot materialization: mapping
     // tables plus the page-value copies (the work the synchronous path
     // previously did lazily inside its align timer stays accounted for).
-    let parse_timer = Timer::start();
-    let tables: Vec<MappingTable> = {
-        let buffers: Vec<&B::View> = selected
-            .iter()
-            .map(|&idx| views.partial_view(idx).expect("validated above").buffer())
-            .collect();
-        column.backend().mapping_tables(column.store(), &buffers)?
-    };
-
-    let view_snapshots: Vec<ViewSnapshot> = selected
-        .iter()
-        .zip(tables)
-        .map(|(&idx, table)| {
-            let view = views.partial_view(idx).expect("validated above");
-            ViewSnapshot {
-                idx,
-                id: view.id(),
-                range: *view.range(),
-                table,
-            }
-        })
-        .collect();
-
+    let copy_timer = Timer::start();
     // Copy only the pages some view may have to re-inspect for removal
     // (case 2: indexed, no new value qualifies, some old value did) — the
     // exact pages the synchronous algorithm used to read from the column.
     let page_values = groups
         .iter()
         .filter(|(page, page_updates)| {
-            view_snapshots.iter().any(|view| {
+            views.iter().any(|view| {
                 view.table.contains_phys(*page)
                     && !page_updates
                         .iter()
@@ -440,16 +521,16 @@ fn snapshot_impl<B: Backend>(
         })
         .map(|(page, _)| (*page, copy_values_chunked(column.page_ref(*page).values())))
         .collect();
-    let parse_time = parse_timer.elapsed();
+    let parse_time = table_time + copy_timer.elapsed();
 
-    Ok(AlignmentSnapshot {
+    AlignmentSnapshot {
         batch_size: batch.len(),
         deduped_size,
         parse_time,
         groups,
-        views: view_snapshots,
+        views,
         page_values,
-    })
+    }
 }
 
 /// Plans the alignment of every view in the snapshot (phase 2) — pure
@@ -1208,6 +1289,45 @@ mod tests {
             layout(&sync_col, &sync_views),
             "chunked publishes end bit-identical to one synchronous pass"
         );
+    }
+
+    #[test]
+    fn page_list_replay_matches_the_buffer_publish() {
+        let ranges = [
+            ValueRange::new(5_000, 9_400),
+            ValueRange::new(12_000, 20_510),
+        ];
+        let (mut column, mut views) = column_with_views(32, &ranges);
+        let mut lists: Vec<Vec<usize>> = ranges
+            .iter()
+            .map(|r| crate::creation::qualifying_pages(&column, r))
+            .collect();
+        // Additions into the first range, a whole-page removal (swap into
+        // the hole, then truncate) from the second.
+        let mut writes: Vec<(usize, u64)> = (20..30)
+            .map(|p| (p * VALUES_PER_PAGE + p, 6_000 + p as u64))
+            .collect();
+        writes.extend((0..VALUES_PER_PAGE).map(|s| (13 * VALUES_PER_PAGE + s, 1 + s as u64)));
+        let updates = column.write_batch(&writes);
+        let snap = snapshot_alignment(&column, &views, &updates).unwrap();
+        let plan = plan_alignment_chunked(&snap, Parallelism::Sequential, 3);
+        assert!(plan.pages_removed() > 0 && plan.pages_added() > 0);
+        for chunk in &plan.chunks {
+            apply_plan(&column, &mut views, chunk).unwrap();
+            for view_plan in &chunk.views {
+                view_plan.replay_onto(&mut lists[view_plan.view_idx]);
+            }
+        }
+        for (idx, view) in views.iter() {
+            let table = column
+                .backend()
+                .mapping_table(column.store(), view.buffer())
+                .unwrap();
+            let layout: Vec<usize> = (0..view.num_pages())
+                .map(|slot| table.phys_for_slot(slot).unwrap())
+                .collect();
+            assert_eq!(lists[idx], layout, "view {idx}");
+        }
     }
 
     #[test]

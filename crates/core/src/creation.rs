@@ -188,6 +188,32 @@ where
     }
 }
 
+/// Returns `true` if physical page `page_idx` of `column` holds a value
+/// inside `range` — the qualifying-page test of view creation.
+fn page_qualifies<B: Backend>(
+    column: &Column<B>,
+    range: &asv_util::ValueRange,
+    page_idx: usize,
+) -> bool {
+    column
+        .page_ref(page_idx)
+        .values()
+        .iter()
+        .any(|v| range.contains(*v))
+}
+
+/// The physical pages of `column` holding a value inside `range`,
+/// ascending: exactly the pages [`build_view_for_range`] maps, in slot
+/// order, without mapping a buffer.
+pub fn qualifying_pages<B: Backend>(
+    column: &Column<B>,
+    range: &asv_util::ValueRange,
+) -> Vec<usize> {
+    (0..column.num_pages())
+        .filter(|&page_idx| page_qualifies(column, range, page_idx))
+        .collect()
+}
+
 /// Builds a partial view for `range` by scanning the column's full view —
 /// the non-adaptive "create a single partial view" operation used by the
 /// micro-benchmarks (Figures 3 and 6) and by rebuild-from-scratch.
@@ -216,13 +242,7 @@ pub fn build_view_for_range_with<B: Backend>(
     parallelism: Parallelism,
 ) -> Result<(B::View, usize), VmemError> {
     let pool = ThreadPool::new(parallelism);
-    let qualifies = |page_idx: usize| {
-        column
-            .page_ref(page_idx)
-            .values()
-            .iter()
-            .any(|v| range.contains(*v))
-    };
+    let qualifies = |page_idx: usize| page_qualifies(column, range, page_idx);
     let detected: Option<Vec<u64>> = if pool.workers() > 1 && column.num_pages() >= 2 {
         let per_shard = pool.scoped_map(
             split_ranges(column.num_pages(), pool.workers())
@@ -287,6 +307,7 @@ mod tests {
         let column = clustered_column(backend, 32);
         // Pages 4..=9 qualify for [4000, 9500].
         let range = ValueRange::new(4000, 9500);
+        assert_eq!(qualifying_pages(&column, &range), vec![4, 5, 6, 7, 8, 9]);
         for options in [
             CreationOptions::NONE,
             CreationOptions::COALESCED,

@@ -47,9 +47,9 @@
 //! * one shared full view per column (`Arc<B::View>`, mapped once at
 //!   column creation and never remapped — slot `i` is physical page `i`),
 //! * per partial view the **physical page list** of its slots
-//!   ([`ViewMeta`]), recomputed by the maintainer after each published
-//!   alignment chunk — readers scan view pages *through the full view* by
-//!   physical id, so no view buffer is ever shared mutably,
+//!   ([`ViewMeta`]), the only representation of a serve view — readers
+//!   scan view pages *through the full view* by physical id, so serving
+//!   maps no view buffer and never parses `/proc/self/maps`,
 //! * the write overlay of the epoch: queued `(row, value)` pairs plus the
 //!   precomputed scan [`ExclusionMasks`] over them,
 //! * **frozen page copies** for every page holding an overlaid row: the
@@ -71,7 +71,9 @@
 //! [`crate::align::DeltaWorkItem`]) and at most
 //! `AlignChunking::delta_items_per_tick` items are applied and published
 //! per call, so the per-tick publish work is bounded by single views, not
-//! whole rounds, and interleaves with group-commit folding. When a fold
+//! whole rounds, and interleaves with group-commit folding. An item
+//! publish replays its planned [`crate::align::ViewOp`]s onto a copy of
+//! each view's page list: page-list arithmetic, no remap. When a fold
 //! starts, the maintainer consults the view set's
 //! [`crate::align::ViewDepGraph`] (`AlignChunking::incremental_align`,
 //! on by default) so only views whose predicate ranges intersect the
@@ -127,27 +129,28 @@ use std::path::PathBuf;
 use std::sync::{mpsc, Arc, Mutex};
 
 use asv_storage::{
-    copy_values_chunked, Column, ExclusionMasks, PageRef, ScanKernel, ScanMode, ScanOutput,
+    copy_values_chunked, group_rows_by_page, Column, ExclusionMasks, PageRef, ScanKernel, ScanMode,
+    ScanOutput,
 };
 use asv_util::{split_ranges, Parallelism, ThreadPool, Timer, ValueRange};
 use asv_vmem::{Backend, ViewBuffer, VmemError, VALUES_PER_PAGE};
 
 use crate::align::{
-    apply_plan, compute_alignment_delta, snapshot_alignment, snapshot_alignment_delta,
-    spawn_alignment_chunked, AlignmentPlan, PendingChunkedAlignment, WriteOverlay,
+    compute_alignment_delta_in, snapshot_with_tables, spawn_alignment_chunked, AlignmentPlan,
+    PendingChunkedAlignment, ViewDepGraph, ViewSnapshot, WriteOverlay,
 };
 use crate::config::AdaptiveConfig;
-use crate::creation::build_view_for_range;
+use crate::creation::qualifying_pages;
 use crate::plan::ZoneStats;
-use crate::viewset::ViewSet;
 use crate::wal::{self, FaultPlan, Journal, WalRecord};
 
-/// Frozen metadata of one partial view inside an epoch: its covered range
-/// and the physical pages its slots map, in slot order.
+/// One partial view of a serving table: its covered range and the
+/// physical pages its slots map, in slot order.
 ///
-/// Readers never touch the partial view's buffer — they scan the listed
-/// physical pages through the column's immutable full view, which is
-/// mapped identically (slot `i` = physical page `i`) for the whole run.
+/// A serve view has no buffer of its own: readers scan the listed physical
+/// pages through the column's immutable full view, which is mapped
+/// identically (slot `i` = physical page `i`) for the whole run. The list
+/// starts as the ascending qualifying pages and is replayed per alignment.
 #[derive(Clone, Debug)]
 pub struct ViewMeta {
     /// The value range the view covers.
@@ -163,8 +166,8 @@ pub struct ColumnEpoch<B: Backend> {
     full_view: Arc<B::View>,
     num_rows: usize,
     num_pages: usize,
-    /// Partial-view metadata, one entry per view in the maintainer's
-    /// [`ViewSet`]; untouched views share their `Arc` across epochs.
+    /// Partial views, one entry per installed view; untouched views share
+    /// their `Arc` across epochs.
     views: Vec<Arc<ViewMeta>>,
     /// Overlaid `(row, value)` pairs, ascending by row.
     overlay: Arc<Vec<(u64, u64)>>,
@@ -248,7 +251,8 @@ impl<B: Backend> ColumnEpoch<B> {
     /// sequential loop produces and the answer is bit-identical for every
     /// worker count.
     fn scan(&self, range: &ValueRange, mode: ScanMode, pool: &ThreadPool) -> ScanOutput {
-        let mut kernel = ScanKernel::new(*range, mode);
+        // Serve never widens a range, so its scans skip the bound folds.
+        let mut kernel = ScanKernel::new(*range, mode).without_bounds();
         if !self.masks.is_empty() {
             kernel = kernel.with_exclusion_masks(&self.masks);
         }
@@ -334,20 +338,7 @@ impl<B: Backend> ColumnEpoch<B> {
                 None => phys_rows.push(row),
             }
         }
-        // Group the non-overlaid candidates into per-page runs.
-        let mut runs: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
-        let mut start = 0usize;
-        while start < phys_rows.len() {
-            let page = (phys_rows[start] / VALUES_PER_PAGE as u64) as usize;
-            let mut end = start + 1;
-            while end < phys_rows.len()
-                && (phys_rows[end] / VALUES_PER_PAGE as u64) as usize == page
-            {
-                end += 1;
-            }
-            runs.push((page, start..end));
-            start = end;
-        }
+        let runs = group_rows_by_page(&phys_rows);
         if pool.workers() <= 1 || runs.len() < 2 {
             for (page, span) in runs {
                 let page_ref = PageRef::new(self.page_raw(page), self.valid_values(page));
@@ -728,9 +719,11 @@ impl LaneSender {
 /// The maintainer-owned mutable state of one column.
 struct ColumnState<B: Backend> {
     column: Column<B>,
-    views: ViewSet<B>,
-    /// Frozen per-view metadata mirroring `views`, shared into epochs.
+    /// The column's views as page lists, shared into epochs. A view's id
+    /// is its position: serve views are only ever appended.
     view_metas: Vec<Arc<ViewMeta>>,
+    /// Predicate → view index over `view_metas`, for incremental alignment.
+    deps: ViewDepGraph,
     overlay: WriteOverlay,
     stats: ZoneStats,
     full_view: Arc<B::View>,
@@ -789,29 +782,30 @@ impl<B: Backend> ColumnState<B> {
             .or_insert_with(|| Arc::new(copy_values_chunked(self.column.page_ref(page).raw())));
     }
 
-    /// Recomputes the frozen metadata of the view at `view_idx` from its
-    /// live mapping table.
-    fn refresh_view_meta(&mut self, view_idx: usize) -> Result<(), VmemError> {
-        let view = self
+    /// Publishes one delta work item: replays each planned view's ops onto
+    /// a copy of its page list and swaps the new [`ViewMeta`] in. Every
+    /// planned view is validated first, so a stale plan fails cleanly
+    /// instead of half-published.
+    fn publish_item(&mut self, item: &AlignmentPlan) -> Result<(), VmemError> {
+        let num_views = self.view_metas.len();
+        if item
             .views
-            .partial_view(view_idx)
-            .expect("plan references a live view");
-        let table = self
-            .column
-            .backend()
-            .mapping_table(self.column.store(), view.buffer())?;
-        let mapped = view.num_pages();
-        let phys: Vec<usize> = (0..mapped)
-            .map(|slot| {
-                table
-                    .phys_for_slot(slot)
-                    .expect("dense views map every slot of the mapped prefix")
-            })
-            .collect();
-        self.view_metas[view_idx] = Arc::new(ViewMeta {
-            range: *view.range(),
-            phys,
-        });
+            .iter()
+            .any(|plan| plan.view_idx >= num_views || plan.view_id != plan.view_idx as u64)
+        {
+            return Err(VmemError::Unsupported(
+                "view set changed between alignment snapshot and publish",
+            ));
+        }
+        for plan in &item.views {
+            let meta = &self.view_metas[plan.view_idx];
+            let mut phys = meta.phys.clone();
+            plan.replay_onto(&mut phys);
+            self.view_metas[plan.view_idx] = Arc::new(ViewMeta {
+                range: meta.range,
+                phys,
+            });
+        }
         Ok(())
     }
 
@@ -1136,8 +1130,8 @@ impl<B: Backend> ServeTable<B> {
         let full_view = Arc::new(self.backend.create_full_view(column.store())?);
         let stats = ZoneStats::build(&column);
         let state = ColumnState {
-            views: ViewSet::new(self.config.max_views),
             view_metas: Vec::new(),
+            deps: ViewDepGraph::new(),
             overlay: WriteOverlay::new(),
             stats,
             full_view,
@@ -1160,21 +1154,26 @@ impl<B: Backend> ServeTable<B> {
         Ok(self.columns.len() - 1)
     }
 
-    /// Builds and installs a partial view covering `range` on column
-    /// `col`, then publishes the epoch carrying it.
+    /// Installs a partial view covering `range` on column `col` — the
+    /// ascending list of pages holding a value in `range` — then publishes
+    /// the epoch carrying it.
     ///
     /// Views are installed during setup: the call is rejected while an
     /// alignment round is in flight or writes are queued, because the
     /// in-flight round's plan predates the view and would leave it
-    /// misaligned.
+    /// misaligned. A missing column returns [`VmemError::OutOfBounds`]
+    /// before anything is journaled.
     pub fn install_view(&mut self, col: usize, range: ValueRange) -> Result<(), VmemError> {
-        {
-            let state = &self.columns[col];
-            if !state.is_idle() || !state.overlay.is_empty() {
-                return Err(VmemError::Unsupported(
-                    "install_view requires an idle column (no round in flight, no queued writes)",
-                ));
-            }
+        let Some(state) = self.columns.get(col) else {
+            return Err(VmemError::out_of_bounds(format!(
+                "column {col} of {}",
+                self.columns.len()
+            )));
+        };
+        if !state.is_idle() || !state.overlay.is_empty() {
+            return Err(VmemError::Unsupported(
+                "install_view requires an idle column (no round in flight, no queued writes)",
+            ));
         }
         if self.durable.is_some() {
             self.journal_append(&WalRecord::InstallView {
@@ -1184,14 +1183,9 @@ impl<B: Backend> ServeTable<B> {
             })?;
         }
         let state = &mut self.columns[col];
-        let (buffer, _) = build_view_for_range(&state.column, &range, &self.config.creation)?;
-        state.views.insert_unchecked(range, buffer);
-        state.view_metas.push(Arc::new(ViewMeta {
-            range,
-            phys: Vec::new(),
-        }));
-        let view_idx = state.view_metas.len() - 1;
-        state.refresh_view_meta(view_idx)?;
+        let phys = qualifying_pages(&state.column, &range);
+        state.deps.note_insert(state.view_metas.len() as u64, range);
+        state.view_metas.push(Arc::new(ViewMeta { range, phys }));
         state.mark_dirty();
         self.staged = true;
         self.commit()?;
@@ -1374,7 +1368,7 @@ impl<B: Backend> ServeTable<B> {
         self.commit()?;
         if self.grace_elapsed() {
             for idx in 0..self.columns.len() {
-                self.maybe_fold(idx, force_fold)?;
+                self.maybe_fold(idx, force_fold);
             }
         }
         Ok(())
@@ -1618,10 +1612,7 @@ impl<B: Backend> ServeTable<B> {
                 break;
             };
             let timer = Timer::start();
-            apply_plan(&state.column, &mut state.views, &item)?;
-            for view_plan in &item.views {
-                state.refresh_view_meta(view_plan.view_idx)?;
-            }
+            state.publish_item(&item)?;
             state
                 .publish_micros
                 .push(timer.elapsed().as_micros() as u64);
@@ -1671,12 +1662,12 @@ impl<B: Backend> ServeTable<B> {
     /// the column is idle and the group-commit threshold is met. The
     /// fold writes the physical store — the caller must have verified the
     /// grace condition and published all staged acknowledgements.
-    fn maybe_fold(&mut self, idx: usize, force: bool) -> Result<(), VmemError> {
+    fn maybe_fold(&mut self, idx: usize, force: bool) {
         debug_assert!(!self.staged, "fold requires committed acknowledgements");
         let chunking = self.config.chunking;
         let state = &mut self.columns[idx];
         if !state.is_idle() || state.overlay.queued_writes() == 0 {
-            return Ok(());
+            return;
         }
         // Backpressure is per ingest shard: any one lane filling its
         // share of the global budget forces a fold, so a skewed writer
@@ -1689,26 +1680,35 @@ impl<B: Backend> ServeTable<B> {
             || state.overlay.len() >= chunking.group_commit_idle.max(1)
             || max_shard >= chunking.max_queued_writes.div_ceil(shards);
         if !threshold_met {
-            return Ok(());
+            return;
         }
         let folded = state.overlay.take_queued();
         let updates = state.column.write_batch(&folded);
-        let live_views = state.views.num_partial_views() as u64;
+        let live_views = state.view_metas.len();
         // Dependency-graph consultation: snapshot only the views whose
         // predicate ranges intersect the touched zones. Zone bands were
         // widened eagerly when each write was acknowledged
         // ([`ServeTable::write`]), so the delta can never miss an affected
         // view. The full-replan branch below stays as the bit-identical
         // reference twin.
-        let snapshot = if chunking.incremental_align {
-            let delta = compute_alignment_delta(&state.stats, &state.views, &updates);
-            state.activity.planned_views += delta.num_affected() as u64;
-            snapshot_alignment_delta(&state.column, &state.views, &updates, &delta)?
+        let selected: Vec<usize> = if chunking.incremental_align {
+            let view_ids: Vec<u64> = (0..live_views as u64).collect();
+            let delta = compute_alignment_delta_in(&state.stats, &state.deps, &view_ids, &updates);
+            delta.items.iter().map(|item| item.view_idx).collect()
         } else {
-            state.activity.planned_views += live_views;
-            snapshot_alignment(&state.column, &state.views, &updates)?
+            (0..live_views).collect()
         };
-        state.activity.candidate_views += live_views;
+        state.activity.planned_views += selected.len() as u64;
+        let timer = Timer::start();
+        let tables: Vec<ViewSnapshot> = selected
+            .into_iter()
+            .map(|idx| {
+                let meta = &state.view_metas[idx];
+                ViewSnapshot::from_pages(idx, idx as u64, meta.range, &meta.phys)
+            })
+            .collect();
+        let snapshot = snapshot_with_tables(&state.column, &updates, tables, timer.elapsed());
+        state.activity.candidate_views += live_views as u64;
         state.activity.rounds += 1;
         state.pending = Some(spawn_alignment_chunked(
             snapshot,
@@ -1716,7 +1716,6 @@ impl<B: Backend> ServeTable<B> {
             chunking.chunk_updates,
         ));
         state.round_active = true;
-        Ok(())
     }
 
     /// Cumulative alignment activity summed over all columns: rounds
@@ -2693,6 +2692,138 @@ mod tests {
             reference_answer(&values, &ValueRange::full())
         );
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn install_view_rejects_missing_columns_unchanged() {
+        let path = temp_journal("view-oob");
+        let values = clustered_values(4);
+        let mut table = ServeTable::with_durability(
+            SimBackend::new(),
+            serve_config(),
+            DurabilityConfig::new(&path),
+        )
+        .unwrap();
+        let col = table.add_column(&values).unwrap();
+        let journal_len = std::fs::metadata(&path).unwrap().len();
+        let generation = table.generation();
+        let err = table
+            .install_view(col + 1, ValueRange::new(0, 10))
+            .unwrap_err();
+        assert!(matches!(err, VmemError::OutOfBounds { .. }), "{err}");
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            journal_len,
+            "nothing was journaled"
+        );
+        assert_eq!(table.generation(), generation, "nothing was published");
+        assert_eq!(table.num_columns(), 1);
+        let snap = table.handle().pin();
+        assert!(snap.column(col).views.is_empty(), "no view was installed");
+        assert_eq!(
+            snap.query_range(col, &ValueRange::new(0, 10)),
+            reference_answer(&values, &ValueRange::new(0, 10))
+        );
+        drop(snap);
+        drop(table);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// After every alignment round, each serve view's page list equals,
+    /// slot by slot, the layout the buffer path builds for the same views
+    /// and writes: `snapshot_alignment` → `plan_alignment_chunked` →
+    /// `apply_plan`, read back through the backend's mapping table.
+    fn page_lists_match_the_buffer_path<B: Backend>(backend: B, incremental: bool) {
+        use crate::align::{apply_plan, plan_alignment_chunked, snapshot_alignment};
+        use crate::config::{AlignChunking, CreationOptions};
+        use crate::creation::build_view_for_range;
+        use crate::viewset::ViewSet;
+
+        const PAGES: usize = 24;
+        const CHUNK_UPDATES: usize = 4;
+        let values = clustered_values(PAGES);
+        let ranges = [
+            ValueRange::new(3_000, 7_200),
+            ValueRange::new(5_000, 9_400),
+            ValueRange::new(14_000, 20_510),
+        ];
+        let config = AdaptiveConfig::default().with_chunking(
+            AlignChunking::default()
+                .with_chunk_updates(CHUNK_UPDATES)
+                .with_group_commit_idle(0)
+                .with_incremental_align(incremental),
+        );
+        let mut table = ServeTable::new(backend.clone(), config);
+        let col = table.add_column(&values).unwrap();
+        let mut column = Column::from_values(backend, &values).unwrap();
+        let mut views: ViewSet<B> = ViewSet::new(ranges.len());
+        for range in ranges {
+            table.install_view(col, range).unwrap();
+            let (buffer, _) = build_view_for_range(&column, &range, &CreationOptions::ALL).unwrap();
+            views.insert_unchecked(range, buffer);
+        }
+        let handle = table.handle();
+        let mut state = 0x5EED_0A11u64;
+        let mut next = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        for round in 0..8 {
+            // Rewrite two whole pages into another page's value band (pages
+            // leave and join views), plus scattered single-row writes.
+            let mut writes: Vec<(usize, u64)> = Vec::new();
+            for _ in 0..2 {
+                let (page, band) = (next(PAGES), next(PAGES));
+                writes.extend(
+                    (0..VALUES_PER_PAGE)
+                        .map(|slot| (page * VALUES_PER_PAGE + slot, (band * 1000 + slot) as u64)),
+                );
+            }
+            for _ in 0..16 {
+                writes.push((next(values.len()), next(PAGES * 1000) as u64));
+            }
+            table.write_batch(col, &writes);
+            table.quiesce().unwrap();
+
+            let updates = column.write_batch(&writes);
+            let snapshot = snapshot_alignment(&column, &views, &updates).unwrap();
+            let plan = plan_alignment_chunked(&snapshot, Parallelism::Sequential, CHUNK_UPDATES);
+            for chunk in &plan.chunks {
+                apply_plan(&column, &mut views, chunk).unwrap();
+            }
+
+            let snap = handle.pin();
+            let epoch = snap.column(col);
+            assert_eq!(epoch.views.len(), views.num_partial_views());
+            for (idx, view) in views.iter() {
+                let mapping = column
+                    .backend()
+                    .mapping_table(column.store(), view.buffer())
+                    .unwrap();
+                let phys = &epoch.views[idx].phys;
+                assert_eq!(phys.len(), view.num_pages(), "round {round}, view {idx}");
+                for (slot, &page) in phys.iter().enumerate() {
+                    assert_eq!(
+                        Some(page),
+                        mapping.phys_for_slot(slot),
+                        "round {round}, view {idx}, slot {slot}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn page_lists_match_the_buffer_path_sim() {
+        page_lists_match_the_buffer_path(SimBackend::new(), true);
+        page_lists_match_the_buffer_path(SimBackend::new(), false);
+    }
+
+    #[test]
+    fn page_lists_match_the_buffer_path_mmap() {
+        page_lists_match_the_buffer_path(MmapBackend::new(), true);
     }
 
     /// Writes `records` as a sealed journal and recovers from it.

@@ -11,8 +11,10 @@
 //! and narrow selectivities, partially filled final pages, empty/dense
 //! exclusion sets and sparse/clustered probe patterns.
 
-use asv_storage::{Column, ExclusionMasks, PageScanResult, ScanMode, ScanOutput};
-use asv_util::{Parallelism, ValueRange};
+use asv_storage::{
+    scan_view, Column, ExclusionMasks, PageScanResult, ScanKernel, ScanMode, ScanOutput,
+};
+use asv_util::{Parallelism, ThreadPool, ValueRange};
 use asv_vmem::{Backend, MmapBackend, SimBackend, VALUES_PER_PAGE};
 
 fn xorshift(state: &mut u64) -> u64 {
@@ -234,6 +236,63 @@ fn check_probes_match<B: Backend>(backend: &B, seed: u64) {
             }
         }
     }
+}
+
+/// The bound-free kernel instantiation (`ScanKernel::without_bounds`, the
+/// serving layer's scans) against the same scalar model: count, checksum,
+/// rows and pages must match, and the widening bounds must stay `None`.
+fn check_unbounded_scans_match<B: Backend>(backend: &B, seed: u64) {
+    let mut state = seed;
+    for case in 0..12 {
+        let max_value = MAX_VALUES[case % MAX_VALUES.len()];
+        let pages = 1 + (xorshift(&mut state) as usize % 4);
+        let values = random_values(&mut state, pages, max_value, case % 2 == 0);
+        let column = Column::from_values(backend.clone(), &values).unwrap();
+        let keep_one_in = [u64::MAX, 97, 11, 2][case % 4];
+        let excluded = random_rows(&mut state, values.len(), keep_one_in);
+        let masks = ExclusionMasks::from_rows(excluded.clone());
+        for _ in 0..3 {
+            let range = random_range(&mut state, max_value);
+            for mode in MODES {
+                for masked in [false, true] {
+                    let mut kernel = ScanKernel::new(range, mode).without_bounds();
+                    let mut scalar_excluded: &[u64] = &[];
+                    if masked {
+                        kernel = kernel.with_exclusion_masks(&masks);
+                        scalar_excluded = &excluded;
+                    }
+                    let got = scan_view(
+                        &kernel,
+                        column.full_view(),
+                        |raw| column.wrap_view_page(raw),
+                        &ThreadPool::with_workers(1),
+                    );
+                    let scalar = scalar_full_scan(&column, &range, mode, scalar_excluded);
+                    let what = format!(
+                        "case {case}, {mode:?}, {} excluded of {}, masked {masked}",
+                        scalar_excluded.len(),
+                        values.len()
+                    );
+                    assert_eq!(got.result.count, scalar.result.count, "{what}: count");
+                    assert_eq!(got.result.sum, scalar.result.sum, "{what}: sum");
+                    assert_eq!(got.rows, scalar.rows, "{what}: collected rows");
+                    assert_eq!(got.scanned_pages, scalar.scanned_pages, "{what}: pages");
+                    assert_eq!(got.below, None, "{what}: below bound");
+                    assert_eq!(got.above, None, "{what}: above bound");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn unbounded_scans_match_scalar_reference_sim() {
+    check_unbounded_scans_match(&SimBackend::new(), 0x5EED_0008);
+}
+
+#[test]
+fn unbounded_scans_match_scalar_reference_mmap() {
+    check_unbounded_scans_match(&MmapBackend::new(), 0x5EED_0009);
 }
 
 #[test]
