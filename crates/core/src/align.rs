@@ -236,10 +236,17 @@ impl ViewSnapshot {
 
 /// The predicate → view dependency index of one column's view set.
 ///
-/// Wraps an [`IntervalIndex`] keyed by view id. [`ViewSet`] owns one and
-/// keeps it in sync at every mutation point (unchecked insert, candidate
-/// replacement, clear) — view ranges are immutable after creation and
-/// rebuilds preserve ids and ranges, so no other sync points exist.
+/// Wraps an [`IntervalIndex`] keyed by view id. It has two owners, each
+/// the only writer of its graph; view ranges are immutable after creation
+/// in both:
+///
+/// * [`ViewSet`] keeps its graph in sync at every mutation point
+///   (unchecked insert, candidate replacement, clear); rebuilds preserve
+///   ids and ranges, so no other sync points exist.
+/// * Each column of [`crate::ServeTable`] registers a view when it is
+///   installed and never removes one. Serve views are only appended and
+///   a view's id equals its position, which is what lets a serve publish
+///   check a delta item's view id against its position.
 #[derive(Clone, Debug, Default)]
 pub struct ViewDepGraph {
     index: IntervalIndex,
@@ -334,6 +341,9 @@ impl AlignmentDelta {
 /// the new value added to a zone lie inside its band. For such views the
 /// §2.4 replay would emit zero ops, so skipping them leaves their layout
 /// bit-identical to the full-replan path.
+///
+/// No engine calls this buffer-based form any more (serve computes deltas
+/// over its page lists); the incremental-alignment tests still exercise it.
 pub fn compute_alignment_delta<B: Backend>(
     stats: &ZoneStats,
     views: &ViewSet<B>,
@@ -419,6 +429,9 @@ pub fn snapshot_alignment<B: Backend>(
 /// for the affected subset, in the delta's priority order, so snapshot cost
 /// scales with *affected* views. Fails like [`apply_plan`] if the view set
 /// changed between delta computation and the snapshot.
+///
+/// Like [`compute_alignment_delta`], no engine calls this any more; the
+/// incremental-alignment tests still exercise it.
 pub fn snapshot_alignment_delta<B: Backend>(
     column: &Column<B>,
     views: &ViewSet<B>,

@@ -23,7 +23,11 @@
 //!   parameter (`BOUNDS`): only the adaptive engine's view creation reads
 //!   them, and the `u64` min/max folds keep the chunk loop from
 //!   vectorizing, so scans whose caller never widens a range
-//!   ([`scan_filter_unbounded_chunked`]) compile them out;
+//!   ([`scan_filter_unbounded_chunked`]) compile them out. Both
+//!   instantiations share the same qualify test; without the folds
+//!   around it, LLVM may still compile the unmasked checksum add to a
+//!   data-dependent branch, so bound-free aggregates can lose to the
+//!   bound-tracking ones at mid selectivities;
 //! * row-id collection compresses each chunk's qualify mask into a bitmask
 //!   and converts set bits to indexes (`trailing_zeros`) — the only
 //!   remaining branch is per *qualifying chunk*, not per value;
@@ -228,23 +232,6 @@ impl Acc {
     }
 }
 
-/// The 0/1 qualify bit of `v` against `[low, high]`. The bound-free
-/// kernels use one unsigned compare, `v - low <= high - low` (exact since
-/// `low <= high`): with the two-compare form and no bound folds around it,
-/// LLVM turns the masked checksum add into a data-dependent branch that
-/// mispredicts at mid selectivities (an aggregate over 512 pages at 50%
-/// selectivity took 2.3 ms instead of 0.65 ms, baseline x86-64 target on
-/// a 2-vCPU Xeon container). The bound-tracking kernels keep the two
-/// compares.
-#[inline(always)]
-fn qualify_bit<const BOUNDS: bool>(v: u64, low: u64, high: u64) -> u64 {
-    if BOUNDS {
-        (v >= low) as u64 & (v <= high) as u64
-    } else {
-        (v.wrapping_sub(low) <= high.wrapping_sub(low)) as u64
-    }
-}
-
 /// One full chunk step: classifies [`LANES`] values against `[low, high]`
 /// and folds them into `acc` without any data-dependent branch (the
 /// widening bounds only with `BOUNDS`). Returns the chunk's qualify bits
@@ -258,7 +245,7 @@ fn chunk_step<const SUM: bool, const BOUNDS: bool>(
 ) -> u64 {
     let mut qbits = 0u64;
     for (i, &v) in chunk.iter().enumerate() {
-        let q = qualify_bit::<BOUNDS>(v, low, high);
+        let q = (v >= low) as u64 & (v <= high) as u64;
         let qm = q.wrapping_neg();
         acc.count[i] += q;
         if SUM {
@@ -294,7 +281,7 @@ fn chunk_step_masked<const SUM: bool, const BOUNDS: bool>(
     for (i, &v) in chunk.iter().enumerate() {
         let keep = (keep_bits >> i) & 1;
         let km = keep.wrapping_neg();
-        let q = qualify_bit::<BOUNDS>(v, low, high) & keep;
+        let q = (v >= low) as u64 & (v <= high) as u64 & keep;
         let qm = q.wrapping_neg();
         acc.count[i] += q;
         if SUM {
