@@ -454,6 +454,10 @@ fn run_filter_kernel(args: &Args) {
         &args.scale,
         args.seed
     ));
+    println!(
+        "filter-kernel: chunked kernels ran on the {} instruction-set tier\n",
+        report.isa
+    );
     let table = filter_kernel::to_table(&report);
     println!("{}", table.render());
     println!(

@@ -9,7 +9,8 @@
 //!   ([`asv_storage::PageRef::scan_filter_scalar`] and friends), kept as
 //!   reference implementations;
 //! * **chunked** — the fixed-width-lane kernels of `asv_storage::simd`
-//!   the production scan path runs on.
+//!   the production scan path runs on, on the instruction-set tier the
+//!   running CPU selects ([`simd::kernel_isa`], recorded in the report).
 //!
 //! The modes are the five kernel entry points: `scan` (count + checksum),
 //! `count` (count-only fast path), `collect` (row-id collection),
@@ -102,6 +103,9 @@ pub struct FilterKernelReport {
     pub values_per_pass: usize,
     /// Candidates per pass the probe cells process.
     pub probe_rows_per_pass: usize,
+    /// Instruction-set tier the chunked kernels ran on
+    /// ([`simd::kernel_isa`]).
+    pub isa: &'static str,
 }
 
 impl FilterKernelReport {
@@ -356,6 +360,7 @@ pub fn run_with<B: Backend>(backend: &B, scale: &Scale, seed: u64) -> FilterKern
         cells,
         values_per_pass: workload.values().len(),
         probe_rows_per_pass: workload.probe_rows().len(),
+        isa: simd::kernel_isa(),
     }
 }
 
@@ -454,12 +459,13 @@ pub fn bench_json_line(
     }
     format!(
         "{{\"experiment\":\"filter-kernel\",\"backend\":\"{}\",\"scale\":\"{}\",\
-         \"seed\":{},\"unix_ms\":{},\"values_per_pass\":{},\"probe_rows_per_pass\":{},\
-         \"count_only_speedup\":{:.3},\"cells\":[{}]}}",
+         \"seed\":{},\"unix_ms\":{},\"isa\":\"{}\",\"values_per_pass\":{},\
+         \"probe_rows_per_pass\":{},\"count_only_speedup\":{:.3},\"cells\":[{}]}}",
         backend,
         scale,
         seed,
         unix_ms,
+        report.isa,
         report.values_per_pass,
         report.probe_rows_per_pass,
         report.count_only_speedup(),
@@ -553,6 +559,7 @@ mod tests {
         );
         assert!(line.contains("\"experiment\":\"filter-kernel\""));
         assert!(line.contains("\"backend\":\"sim\""));
+        assert!(line.contains(&format!("\"isa\":\"{}\"", simd::kernel_isa())));
         assert!(line.contains("\"mode\":\"probe\""));
     }
 

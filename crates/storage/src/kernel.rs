@@ -180,8 +180,12 @@ impl<'a> ScanKernel<'a> {
     /// Callers that scan the same exclusion set repeatedly should build an
     /// [`ExclusionMasks`] once and pass it via
     /// [`Self::with_exclusion_masks`] instead.
+    ///
+    /// # Panics
+    /// Panics if `rows` is not strictly ascending: the per-page lookups
+    /// binary-search it, so unsorted rows would silently miscount.
     pub fn with_excluded_rows(mut self, rows: &'a [u64]) -> Self {
-        debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows must ascend");
+        assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows must ascend");
         self.excluded_rows = rows;
         self.excluded_masks = None;
         self
@@ -696,6 +700,13 @@ mod tests {
     #[test]
     fn excluded_rows_are_invisible_mmap() {
         check_excluded_rows_are_invisible(MmapBackend::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "rows must ascend")]
+    fn unsorted_excluded_rows_are_rejected() {
+        let _ =
+            ScanKernel::new(ValueRange::full(), ScanMode::Aggregate).with_excluded_rows(&[5, 3]);
     }
 
     #[test]

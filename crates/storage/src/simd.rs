@@ -1,4 +1,5 @@
-//! Branch-free, fixed-width-lane chunked filter kernels.
+//! Branch-free, fixed-width-lane chunked filter kernels, compiled once per
+//! instruction-set tier and dispatched at run time.
 //!
 //! Every page the adaptive path and the full-scan baseline touch goes
 //! through `page.scanAndFilter(q)` (Listing 1), so its inner loop is the
@@ -7,9 +8,9 @@
 //! branches — at mid selectivities the branch predictor loses every other
 //! guess. The kernels in this module restructure the same computation into
 //! chunks of [`LANES`] independent lanes with **no data-dependent branch**
-//! anywhere on the value path, which lets LLVM auto-vectorize them on
-//! stable Rust (and, where it only partially vectorizes, still removes all
-//! branch mispredictions):
+//! anywhere on the value path, which lets LLVM vectorize them wherever the
+//! target has 64-bit vector compares (see *Instruction-set tiers* below),
+//! and removes all branch mispredictions where it does not:
 //!
 //! * the predicate becomes a 0/1 lane mask `q = (v >= low) & (v <= high)`;
 //! * the count accumulates `q` per lane;
@@ -21,8 +22,8 @@
 //!   `max(v & below_mask)` / `min(v | !above_mask)` folds plus has-any
 //!   flags, reduced once at the end of the page. They are a const
 //!   parameter (`BOUNDS`): only the adaptive engine's view creation reads
-//!   them, and the `u64` min/max folds keep the chunk loop from
-//!   vectorizing, so scans whose caller never widens a range
+//!   them, and on the portable tier the `u64` min/max folds keep the chunk
+//!   loop from vectorizing, so scans whose caller never widens a range
 //!   ([`scan_filter_unbounded_chunked`]) compile them out. Both
 //!   instantiations share the same qualify test; without the folds
 //!   around it, LLVM may still compile the unmasked checksum add to a
@@ -42,6 +43,45 @@
 //! Accumulating the 32-bit checksum halves in `u64` lanes is exact for any
 //! slice of up to 2³² values; pages hold at most
 //! [`VALUES_PER_PAGE`] (= 511) values, so per-page sums cannot overflow.
+//!
+//! # Instruction-set tiers
+//!
+//! The workspace builds for the default `x86_64` target, which guarantees
+//! SSE2 only. SSE2 has no 64-bit vector compare (`pcmpgtq` needs SSE4.2),
+//! so on that baseline every `u64` compare of the chunk loops — the
+//! qualify test, the bound folds, the min/max folds — compiles to one
+//! scalar compare per value: the loops stay branch-free but barely
+//! vectorize. The kernels are therefore compiled three times from the same
+//! source:
+//!
+//! * **`avx512`** (`avx512f` + `avx512vl`, plus `avx2`): unsigned 64-bit
+//!   compares into mask registers and native `u64` min/max;
+//! * **`avx2`**: 64-bit vector compares (`vpcmpgtq`); AVX2 only has
+//!   *signed* ones, so LLVM lowers the unsigned compares with a sign flip;
+//! * **`portable`**: the baseline-target build, the only tier on other
+//!   architectures (the x86 tiers are `cfg(target_arch = "x86_64")`-gated).
+//!
+//! The scan, probe and min/max bodies (`scan_core`, `probe_core`,
+//! `min_max_core`) are `#[inline(always)]`. Each kernel family has exactly
+//! one private dispatch function (`scan_dispatch`, `probe_dispatch`,
+//! `min_max_dispatch`) that calls a `#[target_feature]` wrapper per x86
+//! tier, or the body directly for the portable tier. A wrapper only
+//! forwards to the body, so inlining recompiles the one source with the
+//! wrapper's features. The public entry points pass the fastest tier the
+//! running CPU supports, detected with `std::is_x86_feature_detected!`
+//! (which std caches). Nothing can select a tier: no setting, environment
+//! variable or cargo feature. [`kernel_isa`] reports the one in use.
+//!
+//! Every tier runs the same integer operations, so all tiers give
+//! bit-identical results; the unit tests below run each tier the host
+//! supports against a scalar reference.
+//!
+//! **Safety.** Calling a `#[target_feature]` function on a CPU without
+//! those features is undefined behaviour, so each wrapper call is an
+//! `unsafe` block — the only `unsafe` of this crate. The contract is
+//! carried by the private tier type: a non-portable `Isa` value is only
+//! ever created after detection confirmed its features, and each call's
+//! `SAFETY` comment names that detection.
 
 use asv_util::ValueRange;
 use asv_vmem::VALUES_PER_PAGE;
@@ -55,6 +95,67 @@ pub const LANES: usize = 8;
 
 /// Words needed to carry one exclusion bit per value slot of a page.
 const MASK_WORDS: usize = VALUES_PER_PAGE.div_ceil(64);
+
+/// An instruction-set tier the kernels are compiled for. A non-portable
+/// value is only created after detection confirmed its CPU features
+/// (`has_avx512`, `has_avx2`); the tier-wrapper calls rely on that.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Isa {
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    Portable,
+}
+
+impl Isa {
+    /// The fastest tier the running CPU supports.
+    #[inline]
+    fn best() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if has_avx512() {
+                return Isa::Avx512;
+            }
+            if has_avx2() {
+                return Isa::Avx2;
+            }
+        }
+        Isa::Portable
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => "avx512",
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => "avx2",
+            Isa::Portable => "portable",
+        }
+    }
+}
+
+/// The features the `avx512` tier wrappers enable.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn has_avx512() -> bool {
+    std::is_x86_feature_detected!("avx2")
+        && std::is_x86_feature_detected!("avx512f")
+        && std::is_x86_feature_detected!("avx512vl")
+}
+
+/// The feature the `avx2` tier wrappers enable.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn has_avx2() -> bool {
+    std::is_x86_feature_detected!("avx2")
+}
+
+/// The instruction-set tier the kernels run on in this process:
+/// `"avx512"`, `"avx2"` or `"portable"` (see the module docs).
+pub fn kernel_isa() -> &'static str {
+    Isa::best().name()
+}
 
 /// A per-page exclusion bitmask: one bit per value slot, set = the slot is
 /// treated as absent by [`crate::PageRef::scan_filter_excluding`].
@@ -133,10 +234,11 @@ pub struct ExclusionMasks {
 }
 
 impl ExclusionMasks {
-    /// Builds the per-page masks from ascending, duplicate-free global row
-    /// ids.
-    pub fn from_rows(rows: Vec<u64>) -> Self {
-        debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows must ascend");
+    /// Builds the per-page masks from global row ids in any order;
+    /// duplicates are dropped.
+    pub fn from_rows(mut rows: Vec<u64>) -> Self {
+        rows.sort_unstable();
+        rows.dedup();
         let mut pages = Vec::new();
         let mut masks: Vec<PageExclusionMask> = Vec::new();
         for &row in &rows {
@@ -203,7 +305,7 @@ impl Acc {
     /// scalar order-independent sum; the bound folds are plain max/min, with
     /// non-participating lanes contributing the fold identities (0 for the
     /// below-max, `u64::MAX` for the above-min).
-    #[inline]
+    #[inline(always)]
     fn finish<const SUM: bool>(&self) -> PageScanResult {
         let count: u64 = self.count.iter().sum();
         let sum = if SUM {
@@ -364,15 +466,13 @@ fn scan_core<const SUM: bool, const COLLECT: bool, const BOUNDS: bool>(
 /// Chunked [`crate::PageRef::scan_filter`]: count + checksum + widening
 /// bounds.
 pub fn scan_filter_chunked(values: &[u64], range: &ValueRange) -> PageScanResult {
-    let mut none = Vec::new();
-    scan_core::<true, false, true>(values, range, None, 0, &mut none)
+    scan_dispatch::<true>(Isa::best(), values, range, None, false, 0, None)
 }
 
 /// Chunked [`crate::PageRef::scan_filter_count`]: the fully branch-free
 /// count-only fast path (no checksum accumulation at all).
 pub fn scan_filter_count_chunked(values: &[u64], range: &ValueRange) -> PageScanResult {
-    let mut none = Vec::new();
-    scan_core::<false, false, true>(values, range, None, 0, &mut none)
+    scan_dispatch::<true>(Isa::best(), values, range, None, true, 0, None)
 }
 
 /// Chunked [`crate::PageRef::scan_filter_collect`]: also appends qualifying
@@ -383,7 +483,15 @@ pub fn scan_filter_collect_chunked(
     base_row: u64,
     rows_out: &mut Vec<u64>,
 ) -> PageScanResult {
-    scan_core::<true, true, true>(values, range, None, base_row, rows_out)
+    scan_dispatch::<true>(
+        Isa::best(),
+        values,
+        range,
+        None,
+        false,
+        base_row,
+        Some(rows_out),
+    )
 }
 
 /// Chunked [`crate::PageRef::scan_filter_excluding`]: the exclusion bits
@@ -398,6 +506,7 @@ pub fn scan_filter_excluding_chunked(
     rows_out: Option<&mut Vec<u64>>,
 ) -> PageScanResult {
     scan_dispatch::<true>(
+        Isa::best(),
         values,
         range,
         Some(exclusion),
@@ -419,12 +528,76 @@ pub fn scan_filter_unbounded_chunked(
     base_row: u64,
     rows_out: Option<&mut Vec<u64>>,
 ) -> PageScanResult {
-    scan_dispatch::<false>(values, range, exclusion, count_only, base_row, rows_out)
+    scan_dispatch::<false>(
+        Isa::best(),
+        values,
+        range,
+        exclusion,
+        count_only,
+        base_row,
+        rows_out,
+    )
+}
+
+/// The scan family's dispatch: runs [`scan_select`] compiled for `isa`.
+#[inline]
+fn scan_dispatch<const BOUNDS: bool>(
+    isa: Isa,
+    values: &[u64],
+    range: &ValueRange,
+    exclusion: Option<&PageExclusionMask>,
+    count_only: bool,
+    base_row: u64,
+    rows_out: Option<&mut Vec<u64>>,
+) -> PageScanResult {
+    match isa {
+        // SAFETY: `Isa::Avx512` exists only after `has_avx512()` detected
+        // avx2, avx512f and avx512vl, the features `scan_avx512` enables.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => unsafe {
+            scan_avx512::<BOUNDS>(values, range, exclusion, count_only, base_row, rows_out)
+        },
+        // SAFETY: `Isa::Avx2` exists only after `has_avx2()` detected avx2,
+        // the feature `scan_avx2` enables.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => unsafe {
+            scan_avx2::<BOUNDS>(values, range, exclusion, count_only, base_row, rows_out)
+        },
+        Isa::Portable => {
+            scan_select::<BOUNDS>(values, range, exclusion, count_only, base_row, rows_out)
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avx512f,avx512vl")]
+fn scan_avx512<const BOUNDS: bool>(
+    values: &[u64],
+    range: &ValueRange,
+    exclusion: Option<&PageExclusionMask>,
+    count_only: bool,
+    base_row: u64,
+    rows_out: Option<&mut Vec<u64>>,
+) -> PageScanResult {
+    scan_select::<BOUNDS>(values, range, exclusion, count_only, base_row, rows_out)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn scan_avx2<const BOUNDS: bool>(
+    values: &[u64],
+    range: &ValueRange,
+    exclusion: Option<&PageExclusionMask>,
+    count_only: bool,
+    base_row: u64,
+    rows_out: Option<&mut Vec<u64>>,
+) -> PageScanResult {
+    scan_select::<BOUNDS>(values, range, exclusion, count_only, base_row, rows_out)
 }
 
 /// Selects the [`scan_core`] instantiation for a runtime mode.
 #[inline(always)]
-fn scan_dispatch<const BOUNDS: bool>(
+fn scan_select<const BOUNDS: bool>(
     values: &[u64],
     range: &ValueRange,
     exclusion: Option<&PageExclusionMask>,
@@ -452,25 +625,7 @@ fn scan_dispatch<const BOUNDS: bool>(
 
 /// Chunked branch-free min/max fold over the valid values of a page.
 pub fn min_max_chunked(values: &[u64]) -> Option<(u64, u64)> {
-    if values.is_empty() {
-        return None;
-    }
-    let mut mins = [u64::MAX; LANES];
-    let mut maxs = [0u64; LANES];
-    let mut chunks = values.chunks_exact(LANES);
-    for chunk in &mut chunks {
-        for (i, &v) in chunk.iter().enumerate() {
-            mins[i] = mins[i].min(v);
-            maxs[i] = maxs[i].max(v);
-        }
-    }
-    for &v in chunks.remainder() {
-        mins[0] = mins[0].min(v);
-        maxs[0] = maxs[0].max(v);
-    }
-    let min = mins.iter().copied().min().unwrap_or(u64::MAX);
-    let max = maxs.iter().copied().max().unwrap_or(0);
-    Some((min, max))
+    (!values.is_empty()).then(|| fold_min_max_chunked(values, (u64::MAX, 0)))
 }
 
 /// Chunked min/max fold that *continues* an accumulator across slices — the
@@ -483,6 +638,39 @@ pub fn min_max_chunked(values: &[u64]) -> Option<(u64, u64)> {
 /// the identities unchanged if every slice was empty (callers detect the
 /// empty zone from the row count they track alongside).
 pub fn fold_min_max_chunked(values: &[u64], acc: (u64, u64)) -> (u64, u64) {
+    min_max_dispatch(Isa::best(), values, acc)
+}
+
+/// The min/max family's dispatch: runs [`min_max_core`] compiled for `isa`.
+#[inline]
+fn min_max_dispatch(isa: Isa, values: &[u64], acc: (u64, u64)) -> (u64, u64) {
+    match isa {
+        // SAFETY: `Isa::Avx512` exists only after `has_avx512()` detected
+        // avx2, avx512f and avx512vl, the features `min_max_avx512` enables.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => unsafe { min_max_avx512(values, acc) },
+        // SAFETY: `Isa::Avx2` exists only after `has_avx2()` detected avx2,
+        // the feature `min_max_avx2` enables.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => unsafe { min_max_avx2(values, acc) },
+        Isa::Portable => min_max_core(values, acc),
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avx512f,avx512vl")]
+fn min_max_avx512(values: &[u64], acc: (u64, u64)) -> (u64, u64) {
+    min_max_core(values, acc)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn min_max_avx2(values: &[u64], acc: (u64, u64)) -> (u64, u64) {
+    min_max_core(values, acc)
+}
+
+#[inline(always)]
+fn min_max_core(values: &[u64], acc: (u64, u64)) -> (u64, u64) {
     let mut mins = [acc.0; LANES];
     let mut maxs = [acc.1; LANES];
     let mut chunks = values.chunks_exact(LANES);
@@ -528,6 +716,77 @@ pub fn copy_values_chunked(src: &[u64]) -> Vec<u64> {
 /// Panics if a row's slot is outside `values` (same contract as
 /// [`crate::PageRef::value`]).
 pub fn probe_rows_chunked(
+    values: &[u64],
+    range: &ValueRange,
+    base_row: u64,
+    rows: &[u64],
+    count_only: bool,
+    rows_out: Option<&mut Vec<u64>>,
+) -> PageScanResult {
+    probe_dispatch(
+        Isa::best(),
+        values,
+        range,
+        base_row,
+        rows,
+        count_only,
+        rows_out,
+    )
+}
+
+/// The probe family's dispatch: runs [`probe_select`] compiled for `isa`.
+#[inline]
+fn probe_dispatch(
+    isa: Isa,
+    values: &[u64],
+    range: &ValueRange,
+    base_row: u64,
+    rows: &[u64],
+    count_only: bool,
+    rows_out: Option<&mut Vec<u64>>,
+) -> PageScanResult {
+    match isa {
+        // SAFETY: `Isa::Avx512` exists only after `has_avx512()` detected
+        // avx2, avx512f and avx512vl, the features `probe_avx512` enables.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => unsafe { probe_avx512(values, range, base_row, rows, count_only, rows_out) },
+        // SAFETY: `Isa::Avx2` exists only after `has_avx2()` detected avx2,
+        // the feature `probe_avx2` enables.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => unsafe { probe_avx2(values, range, base_row, rows, count_only, rows_out) },
+        Isa::Portable => probe_select(values, range, base_row, rows, count_only, rows_out),
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avx512f,avx512vl")]
+fn probe_avx512(
+    values: &[u64],
+    range: &ValueRange,
+    base_row: u64,
+    rows: &[u64],
+    count_only: bool,
+    rows_out: Option<&mut Vec<u64>>,
+) -> PageScanResult {
+    probe_select(values, range, base_row, rows, count_only, rows_out)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn probe_avx2(
+    values: &[u64],
+    range: &ValueRange,
+    base_row: u64,
+    rows: &[u64],
+    count_only: bool,
+    rows_out: Option<&mut Vec<u64>>,
+) -> PageScanResult {
+    probe_select(values, range, base_row, rows, count_only, rows_out)
+}
+
+/// Selects the [`probe_core`] instantiation for a runtime mode.
+#[inline(always)]
+fn probe_select(
     values: &[u64],
     range: &ValueRange,
     base_row: u64,
@@ -739,15 +998,20 @@ mod tests {
     fn exclusion_masks_index_per_page() {
         let vpp = VALUES_PER_PAGE as u64;
         let rows = vec![3, 5, vpp, 2 * vpp + 7, 2 * vpp + 8];
-        let masks = ExclusionMasks::from_rows(rows.clone());
-        assert_eq!(masks.rows(), &rows[..]);
-        assert!(!masks.is_empty());
-        assert!(masks.mask_for(0).unwrap().excluded(3));
-        assert!(masks.mask_for(0).unwrap().excluded(5));
-        assert!(!masks.mask_for(0).unwrap().excluded(4));
-        assert!(masks.mask_for(1).unwrap().excluded(0));
-        assert!(masks.mask_for(2).unwrap().excluded(7));
-        assert!(masks.mask_for(3).is_none());
+        // Unsorted and duplicated input builds the same masks.
+        let shuffled = vec![2 * vpp + 8, 5, vpp, 3, 2 * vpp + 7, 5, vpp, 3];
+        for input in [rows.clone(), shuffled] {
+            let masks = ExclusionMasks::from_rows(input);
+            assert_eq!(masks.rows(), &rows[..]);
+            assert!(!masks.is_empty());
+            assert!(masks.mask_for(0).unwrap().excluded(3));
+            assert!(masks.mask_for(0).unwrap().excluded(5));
+            assert!(!masks.mask_for(0).unwrap().excluded(4));
+            assert!(masks.mask_for(1).unwrap().excluded(0));
+            assert!(masks.mask_for(2).unwrap().excluded(7));
+            assert!(masks.mask_for(2).unwrap().excluded(8));
+            assert!(masks.mask_for(3).is_none());
+        }
         assert!(ExclusionMasks::from_rows(Vec::new()).is_empty());
     }
 
@@ -828,6 +1092,197 @@ mod tests {
         let count_only = probe_rows_chunked(&values, &range, base, &rows, true, None);
         assert_eq!(count_only.count, expected_rows.len() as u64);
         assert_eq!(count_only.sum, 0);
+    }
+
+    /// Every tier this host can run, detected exactly as [`Isa::best`]
+    /// detects them; the tiers it lacks are printed as skipped.
+    fn host_tiers() -> Vec<Isa> {
+        let mut tiers = Vec::new();
+        #[cfg(target_arch = "x86_64")]
+        {
+            if has_avx512() {
+                tiers.push(Isa::Avx512);
+            } else {
+                println!("skipped tier avx512: CPU lacks avx2/avx512f/avx512vl");
+            }
+            if has_avx2() {
+                tiers.push(Isa::Avx2);
+            } else {
+                println!("skipped tier avx2: CPU lacks avx2");
+            }
+        }
+        tiers.push(Isa::Portable);
+        tiers
+    }
+
+    const HALF: u64 = 1 << 63;
+
+    /// Values that stress every tier's compare lowering: the domain ends
+    /// and values straddling 2⁶³ (where a signed compare would flip),
+    /// mixed with small and full-width random values.
+    fn edge_values(len: usize, state: &mut u64) -> Vec<u64> {
+        (0..len)
+            .map(|_| match xorshift(state) % 8 {
+                0 => 0,
+                1 => u64::MAX,
+                2 => HALF - 1 - xorshift(state) % 3,
+                3 => HALF + xorshift(state) % 3,
+                4 => xorshift(state),
+                _ => xorshift(state) % 1_000,
+            })
+            .collect()
+    }
+
+    fn edge_ranges() -> Vec<ValueRange> {
+        vec![
+            ValueRange::new(100, 600),
+            ValueRange::full(),
+            ValueRange::point(0),
+            ValueRange::point(u64::MAX),
+            ValueRange::point(HALF),
+            ValueRange::point(HALF - 1),
+            ValueRange::new(HALF - 1, HALF),
+            ValueRange::new(HALF - 2, HALF + 2),
+            ValueRange::new(0, HALF - 1),
+            ValueRange::new(HALF, u64::MAX),
+            ValueRange::new(500, HALF + 1),
+        ]
+    }
+
+    /// Checks one `BOUNDS` instantiation of the scan family on `isa` in
+    /// all four SUM × COLLECT combinations against [`reference`].
+    fn check_scan_tier<const BOUNDS: bool>(
+        isa: Isa,
+        values: &[u64],
+        range: &ValueRange,
+        exclusion: Option<&PageExclusionMask>,
+        excluded: &[usize],
+    ) {
+        let full = reference(values, range, excluded);
+        let base = 7 * VALUES_PER_PAGE as u64;
+        let expected_rows: Vec<u64> = values
+            .iter()
+            .enumerate()
+            .filter(|(i, v)| !excluded.contains(i) && range.contains(**v))
+            .map(|(i, _)| base + i as u64)
+            .collect();
+        for count_only in [false, true] {
+            for collect in [false, true] {
+                let what = format!(
+                    "{isa:?} bounds {BOUNDS} count_only {count_only} collect {collect} \
+                     excl {} len {} {range:?}",
+                    exclusion.is_some(),
+                    values.len()
+                );
+                let mut rows = Vec::new();
+                let got = scan_dispatch::<BOUNDS>(
+                    isa,
+                    values,
+                    range,
+                    exclusion,
+                    count_only,
+                    base,
+                    collect.then_some(&mut rows),
+                );
+                let expected = PageScanResult {
+                    count: full.count,
+                    sum: if count_only { 0 } else { full.sum },
+                    below_max: full.below_max.filter(|_| BOUNDS),
+                    above_min: full.above_min.filter(|_| BOUNDS),
+                };
+                assert_eq!(got, expected, "{what}");
+                if collect {
+                    assert_eq!(rows, expected_rows, "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_host_tier_scans_like_the_reference() {
+        let mut state = 0x5eed_7135u64;
+        for isa in host_tiers() {
+            for len in [0usize, 1, 7, 8, 9, 63, 64, 65, 100, VALUES_PER_PAGE] {
+                let values = edge_values(len, &mut state);
+                // Exclusion bits beyond `len` must be ignored.
+                let excluded: Vec<usize> = (0..VALUES_PER_PAGE)
+                    .filter(|_| xorshift(&mut state).is_multiple_of(5))
+                    .collect();
+                let mask = PageExclusionMask::from_slots(excluded.iter().copied());
+                for range in edge_ranges() {
+                    check_scan_tier::<true>(isa, &values, &range, None, &[]);
+                    check_scan_tier::<false>(isa, &values, &range, None, &[]);
+                    check_scan_tier::<true>(isa, &values, &range, Some(&mask), &excluded);
+                    check_scan_tier::<false>(isa, &values, &range, Some(&mask), &excluded);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_host_tier_probes_like_the_reference() {
+        let mut state = 0xb0b0_cafeu64;
+        let base = 3 * VALUES_PER_PAGE as u64;
+        for isa in host_tiers() {
+            let values = edge_values(VALUES_PER_PAGE, &mut state);
+            for keep_one_in in [1u64, 3, 50] {
+                let rows: Vec<u64> = (0..VALUES_PER_PAGE as u64)
+                    .filter(|_| xorshift(&mut state).is_multiple_of(keep_one_in))
+                    .map(|slot| base + slot)
+                    .collect();
+                for range in edge_ranges() {
+                    let expected_rows: Vec<u64> = rows
+                        .iter()
+                        .copied()
+                        .filter(|&r| range.contains(values[(r - base) as usize]))
+                        .collect();
+                    let expected_sum: u128 = expected_rows
+                        .iter()
+                        .map(|&r| values[(r - base) as usize] as u128)
+                        .sum();
+                    for count_only in [false, true] {
+                        let what = format!("{isa:?} 1/{keep_one_in} {range:?} {count_only}");
+                        let mut got_rows = Vec::new();
+                        let res = probe_dispatch(
+                            isa,
+                            &values,
+                            &range,
+                            base,
+                            &rows,
+                            count_only,
+                            Some(&mut got_rows),
+                        );
+                        assert_eq!(res.count, expected_rows.len() as u64, "{what}");
+                        let sum = if count_only { 0 } else { expected_sum };
+                        assert_eq!(res.sum, sum, "{what}");
+                        assert_eq!((res.below_max, res.above_min), (None, None), "{what}");
+                        assert_eq!(got_rows, expected_rows, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_host_tier_folds_min_max_like_the_reference() {
+        let mut state = 0x0dd_ba11u64;
+        for isa in host_tiers() {
+            for len in [0usize, 1, 5, 8, 9, 64, 100, VALUES_PER_PAGE] {
+                let values = edge_values(len, &mut state);
+                for acc in [(u64::MAX, 0), (HALF, HALF - 1), (0, u64::MAX), (7, 9)] {
+                    let expected = values
+                        .iter()
+                        .fold(acc, |(lo, hi), &v| (lo.min(v), hi.max(v)));
+                    let got = min_max_dispatch(isa, &values, acc);
+                    assert_eq!(got, expected, "{isa:?} len {len} acc {acc:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_isa_names_the_best_host_tier() {
+        assert_eq!(kernel_isa(), host_tiers()[0].name());
     }
 
     #[test]
